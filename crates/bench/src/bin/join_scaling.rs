@@ -47,9 +47,9 @@
 //! repo keeps a recorded file as the performance baseline. With
 //! `--check <baseline.json>` the bench re-times the optimized paths and
 //! exits non-zero if any measurement at a matching row count regressed
-//! more than [`CHECK_FACTOR`]× + [`CHECK_SLACK_MS`] against the
-//! baseline (the additive slack keeps sub-millisecond points from
-//! flaking on noisy shared CI runners).
+//! more than [`baseline::CHECK_FACTOR`]× + [`baseline::CHECK_SLACK_MS`]
+//! against the baseline (the additive slack keeps sub-millisecond
+//! points from flaking on noisy shared CI runners).
 //!
 //! ```text
 //! cargo run --release -p sqlsem-bench --bin join_scaling -- --record
@@ -62,21 +62,10 @@
 
 use std::time::Instant;
 
+use sqlsem_bench::baseline::{self, percentile};
 use sqlsem_bench::{arg, flag};
 use sqlsem_core::{Database, Row, Schema, Table, Value};
 use sqlsem_engine::Engine;
-
-/// Maximum allowed slow-down of an optimized timing against the
-/// committed baseline before `--check` fails.
-const CHECK_FACTOR: f64 = 3.0;
-
-/// Additive slack on top of the 3x threshold. Sub-millisecond baseline
-/// points (the 50/500-row timings) sit in the scheduler-noise regime on
-/// shared CI runners, where a 3x blow-up means nothing; the slack makes
-/// the guard insensitive to that noise while still catching any real
-/// regression (a quadratic slip moves these timings by orders of
-/// magnitude, far past `3x + 1 ms`).
-const CHECK_SLACK_MS: f64 = 1.0;
 
 /// R(A,B) ⋈ S(A,C) on A: each side has `n` rows, keys `0..n` with every
 /// tenth key null — the join output stays ~`n` rows, so the optimized
@@ -109,11 +98,6 @@ fn instance(schema: &Schema, n: usize) -> Database {
     db
 }
 
-fn median_ms(mut runs: Vec<f64>) -> f64 {
-    runs.sort_by(|a, b| a.total_cmp(b));
-    runs[runs.len() / 2]
-}
-
 fn time_ms(mut f: impl FnMut() -> usize, reps: usize) -> (f64, usize) {
     let mut rows = 0;
     let runs: Vec<f64> = (0..reps)
@@ -123,7 +107,7 @@ fn time_ms(mut f: impl FnMut() -> usize, reps: usize) -> (f64, usize) {
             start.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    (median_ms(runs), rows)
+    (percentile(&runs, 0.5), rows)
 }
 
 /// One recorded measurement line. For the `vec_*` benches the
@@ -151,35 +135,6 @@ fn group_instance(schema: &Schema, n: usize) -> Database {
         .collect();
     db.replace_table("G", Table::with_rows(vec!["K".into(), "V".into()], rows).unwrap()).unwrap();
     db
-}
-
-/// Extracts `(rows, <ms_field>)` pairs from one `"<bench>": [ … ]`
-/// section of the baseline JSON. Hand-rolled (the workspace is
-/// offline — no serde): scans the section's objects for the `"rows"`
-/// and requested millisecond fields.
-fn baseline_pairs(json: &str, section: &str, ms_field: &str) -> Vec<(u64, f64)> {
-    let Some(start) = json.find(&format!("\"{section}\"")) else { return Vec::new() };
-    let rest = &json[start..];
-    let Some(open) = rest.find('[') else { return Vec::new() };
-    let Some(close) = rest.find(']') else { return Vec::new() };
-    let body = &rest[open + 1..close];
-    let field = |obj: &str, name: &str| -> Option<f64> {
-        let at = obj.find(&format!("\"{name}\""))?;
-        let tail = obj[at..].split_once(':')?.1;
-        let num: String = tail
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        num.parse().ok()
-    };
-    body.split('}')
-        .filter_map(|obj| {
-            let rows = field(obj, "rows")? as u64;
-            let ms = field(obj, ms_field)?;
-            Some((rows, ms))
-        })
-        .collect()
 }
 
 fn main() {
@@ -448,48 +403,20 @@ fn main() {
     }
 
     if !check_path.is_empty() {
-        let baseline = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {check_path}: {e}"));
-        let mut checked = 0usize;
-        let mut regressions = Vec::new();
-        for (section, name, ms_field) in [
-            ("measurements", "join_scaling", "optimized_ms"),
-            ("top_k", "top_k", "optimized_ms"),
-            ("vec_join", "vec_join", "vectorized_ms"),
-            ("vec_join_late", "vec_join_late", "vectorized_ms"),
-            ("vec_group", "vec_group", "vectorized_ms"),
-            ("vec_sort", "vec_sort", "vectorized_ms"),
-            ("index_scan", "index_scan", "index_ms"),
-        ] {
-            for (rows, base_ms) in baseline_pairs(&baseline, section, ms_field) {
-                let Some(m) = measurements.iter().find(|m| m.bench == name && m.rows == rows)
-                else {
-                    continue;
-                };
-                checked += 1;
-                if m.optimized_ms > base_ms * CHECK_FACTOR + CHECK_SLACK_MS {
-                    regressions.push(format!(
-                        "{name} at {rows} rows: {:.3} ms vs baseline {base_ms:.3} ms \
-                         (> {CHECK_FACTOR}x + {CHECK_SLACK_MS} ms)",
-                        m.optimized_ms
-                    ));
-                }
-            }
-        }
-        println!(
-            "\nbench guard: {checked} baseline point(s) checked \
-             (threshold {CHECK_FACTOR}x + {CHECK_SLACK_MS} ms)"
-        );
-        if checked == 0 {
-            eprintln!("bench guard: no baseline points matched the run's row counts");
-            std::process::exit(1);
-        }
-        if !regressions.is_empty() {
-            for r in &regressions {
-                eprintln!("REGRESSION: {r}");
-            }
-            std::process::exit(1);
-        }
-        println!("bench guard: no regressions");
+        let sections = [
+            ("measurements", "optimized_ms"),
+            ("top_k", "optimized_ms"),
+            ("vec_join", "vectorized_ms"),
+            ("vec_join_late", "vectorized_ms"),
+            ("vec_group", "vectorized_ms"),
+            ("vec_sort", "vectorized_ms"),
+            ("index_scan", "index_ms"),
+        ];
+        baseline::check(&check_path, "rows", &sections, |section, rows| {
+            // The join section is recorded under "measurements" because
+            // "join_scaling" is also the file's `"bench"` value.
+            let bench = if section == "measurements" { "join_scaling" } else { section };
+            measurements.iter().find(|m| m.bench == bench && m.rows == rows).map(|m| m.optimized_ms)
+        });
     }
 }

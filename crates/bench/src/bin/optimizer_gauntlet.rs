@@ -30,15 +30,22 @@
 //! then sets the batch granularity and `--threads N` the morsel worker
 //! count (the nightly matrix sweeps batch sizes 1, 3 and 1024 and
 //! thread counts 1, 2 and 8 to fuzz chunk boundaries and scheduling).
+//!
+//! `--via-storage` pushes every database (the pitfall one included)
+//! through [`via_storage`] first — written to a temp-dir store,
+//! reopened, recovery asserted exact, every table indexed on its first
+//! column — so the candidate and both oracles run over crash-recovered
+//! data with the IndexScan/IndexJoin rewrites live. It composes with
+//! every `--backend`.
 
-use sqlsem_bench::arg;
+use sqlsem_bench::{arg, flag};
 use sqlsem_core::{Dialect, Evaluator, LogicMode, Query, Schema};
 use sqlsem_engine::{Backend, Engine};
 use sqlsem_generator::paper_schema;
 use sqlsem_session::Session;
 use sqlsem_validation::{
     candidate_session, compare_with_order, iteration_case, ordered_comparison, session_outcome,
-    ValidationConfig, Verdict,
+    via_storage, ValidationConfig, Verdict,
 };
 
 /// Example 1 and Example 2, the shapes whose null/ambiguity behaviour
@@ -118,6 +125,8 @@ fn main() {
     // outer-join-heavy generator preset (the nightly matrix runs it);
     // the default keeps the small TPC-H-calibrated shapes of `quick`.
     let gen_preset: String = arg("--gen", String::new());
+    let storage = flag("--via-storage");
+    let fixture = |db| if storage { via_storage(&db) } else { db };
 
     let combos: Vec<(Dialect, LogicMode)> = Dialect::ALL
         .into_iter()
@@ -172,7 +181,7 @@ fn main() {
 
     let (pitfall_schema, pitfalls) = pitfall_cases();
     let mut pit_session =
-        candidate_session(pitfall_db(&pitfall_schema), backend, batch_size, threads);
+        candidate_session(fixture(pitfall_db(&pitfall_schema)), backend, batch_size, threads);
     for tally in tallies.iter_mut() {
         for query in &pitfalls {
             check(tally, query, &mut pit_session);
@@ -195,7 +204,7 @@ fn main() {
     let start = std::time::Instant::now();
     for i in 0..queries {
         let (query, db) = iteration_case(&schema, &config, i);
-        let mut session = candidate_session(db, backend, batch_size, threads);
+        let mut session = candidate_session(fixture(db), backend, batch_size, threads);
         for tally in tallies.iter_mut() {
             check(tally, &query, &mut session);
         }
@@ -203,10 +212,11 @@ fn main() {
 
     let batch_note = batch_size.map(|n| format!(", batch size {n}")).unwrap_or_default();
     let thread_note = threads.map(|n| format!(", threads {n}")).unwrap_or_default();
+    let storage_note = if storage { " over storage-recovered, indexed databases" } else { "" };
     println!(
         "optimizer gauntlet: {} pitfall + {queries} random queries per combination \
-         (candidate backend {backend}{batch_note}{thread_note} via Session, seed {seed}, row cap {rows}) \
-         in {:.2?}\n",
+         (candidate backend {backend}{batch_note}{thread_note} via Session{storage_note}, \
+         seed {seed}, row cap {rows}) in {:.2?}\n",
         pitfalls.len(),
         start.elapsed()
     );

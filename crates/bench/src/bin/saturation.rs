@@ -18,8 +18,9 @@
 //! With `--record` the measurements are written to
 //! `BENCH_saturation.json` (the committed baseline); with
 //! `--check <baseline.json>` the bench re-runs and fails if any p50 at
-//! a matching client count regressed more than [`CHECK_FACTOR`]× +
-//! [`CHECK_SLACK_MS`] — the same guard shape as `join_scaling`.
+//! a matching client count regressed more than
+//! [`baseline::CHECK_FACTOR`]× + [`baseline::CHECK_SLACK_MS`] — the
+//! guard `join_scaling` shares.
 //!
 //! ```text
 //! cargo run --release -p sqlsem-bench --bin saturation -- --record
@@ -29,17 +30,9 @@
 use std::sync::Barrier;
 use std::time::Instant;
 
+use sqlsem_bench::baseline::{self, percentile};
 use sqlsem_bench::{arg, flag};
 use sqlsem_server::{Client, Server};
-
-/// Maximum allowed slow-down of a p50 against the committed baseline
-/// before `--check` fails.
-const CHECK_FACTOR: f64 = 3.0;
-
-/// Additive slack on top of the 3x threshold: loopback-TCP round trips
-/// sit well under a millisecond, where scheduler noise on shared CI
-/// runners dominates any real signal.
-const CHECK_SLACK_MS: f64 = 1.0;
 
 struct Measurement {
     workload: &'static str,
@@ -48,14 +41,6 @@ struct Measurement {
     p50_ms: f64,
     p95_ms: f64,
     throughput: f64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Runs one workload at one client count: every client is a real TCP
@@ -98,39 +83,15 @@ fn run(server: &Server, workload: &'static str, clients: usize, ops: usize) -> M
             handles.into_iter().flat_map(|h| h.join().expect("bench client")).collect();
         (latencies, start.elapsed().as_secs_f64())
     });
-    let mut sorted = latencies;
-    sorted.sort_by(|a, b| a.total_cmp(b));
     let total_ops = clients * ops;
     Measurement {
         workload,
         clients,
         ops: total_ops,
-        p50_ms: percentile(&sorted, 0.50),
-        p95_ms: percentile(&sorted, 0.95),
+        p50_ms: percentile(&latencies, 0.50),
+        p95_ms: percentile(&latencies, 0.95),
         throughput: total_ops as f64 / elapsed,
     }
-}
-
-/// Extracts `(clients, p50_ms)` pairs from one section of the baseline
-/// JSON. Hand-rolled (the workspace is offline — no serde).
-fn baseline_pairs(json: &str, section: &str) -> Vec<(usize, f64)> {
-    let Some(start) = json.find(&format!("\"{section}\"")) else { return Vec::new() };
-    let rest = &json[start..];
-    let (Some(open), Some(close)) = (rest.find('['), rest.find(']')) else { return Vec::new() };
-    let field = |obj: &str, name: &str| -> Option<f64> {
-        let at = obj.find(&format!("\"{name}\""))?;
-        let tail = obj[at..].split_once(':')?.1;
-        let num: String = tail
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        num.parse().ok()
-    };
-    rest[open + 1..close]
-        .split('}')
-        .filter_map(|obj| Some((field(obj, "clients")? as usize, field(obj, "p50_ms")?)))
-        .collect()
 }
 
 fn main() {
@@ -204,41 +165,12 @@ fn main() {
     }
 
     if !check_path.is_empty() {
-        let baseline = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {check_path}: {e}"));
-        let mut checked = 0usize;
-        let mut regressions = Vec::new();
-        for section in ["read_heavy", "write_heavy"] {
-            for (clients, base_ms) in baseline_pairs(&baseline, section) {
-                let Some(m) =
-                    measurements.iter().find(|m| m.workload == section && m.clients == clients)
-                else {
-                    continue;
-                };
-                checked += 1;
-                if m.p50_ms > base_ms * CHECK_FACTOR + CHECK_SLACK_MS {
-                    regressions.push(format!(
-                        "{section} at {clients} client(s): p50 {:.3} ms vs baseline \
-                         {base_ms:.3} ms (> {CHECK_FACTOR}x + {CHECK_SLACK_MS} ms)",
-                        m.p50_ms
-                    ));
-                }
-            }
-        }
-        println!(
-            "\nbench guard: {checked} baseline point(s) checked \
-             (threshold {CHECK_FACTOR}x + {CHECK_SLACK_MS} ms)"
-        );
-        if checked == 0 {
-            eprintln!("bench guard: no baseline points matched the run's client counts");
-            std::process::exit(1);
-        }
-        if !regressions.is_empty() {
-            for r in &regressions {
-                eprintln!("REGRESSION: {r}");
-            }
-            std::process::exit(1);
-        }
-        println!("bench guard: no regressions");
+        let sections = [("read_heavy", "p50_ms"), ("write_heavy", "p50_ms")];
+        baseline::check(&check_path, "clients", &sections, |section, clients| {
+            measurements
+                .iter()
+                .find(|m| m.workload == section && m.clients as u64 == clients)
+                .map(|m| m.p50_ms)
+        });
     }
 }

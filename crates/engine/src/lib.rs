@@ -56,7 +56,7 @@ pub mod vexec;
 
 use sqlsem_core::{Database, Dialect, EvalError, LogicMode, PredicateRegistry, Query, Table};
 
-pub use backend::{persistent_database, Backend, QueryBackend};
+pub use backend::Backend;
 pub use batch::{Batch, Column, TruthVec, DEFAULT_BATCH_SIZE};
 pub use compile::compile as compile_plan;
 pub use exec::Executor;
@@ -162,6 +162,21 @@ impl<'a> Engine<'a> {
     pub fn with_adaptive(mut self, adaptive: bool) -> Self {
         self.adaptive = adaptive;
         self
+    }
+
+    /// Configures the execution strategy `backend` names — the one place
+    /// a [`Backend`] maps to engine settings: optimized unless
+    /// [`Backend::NaiveEngine`], vectorized iff
+    /// [`Backend::VectorizedEngine`], adaptive iff [`Backend::Adaptive`].
+    /// The engine has no spec-interpreter mode, so
+    /// [`Backend::SpecInterpreter`] configures the optimized row engine;
+    /// [`Backend::execute`] routes it to [`sqlsem_core::Evaluator`]
+    /// instead.
+    #[must_use]
+    pub fn with_backend(self, backend: Backend) -> Self {
+        self.with_optimizations(backend != Backend::NaiveEngine)
+            .with_vectorized(backend == Backend::VectorizedEngine)
+            .with_adaptive(backend == Backend::Adaptive)
     }
 
     /// Sets the vectorized executor's batch granularity (rows per

@@ -861,26 +861,14 @@ impl Connection {
     // -- internals ---------------------------------------------------------
 
     /// The engine configured for this session (used by the engine
-    /// backends; `optimize`, `vectorized`, `adaptive`, the batch size
-    /// and the thread count reflect the backend choice).
+    /// backends): the backend choice via [`Engine::with_backend`], plus
+    /// the session's batch size and thread count.
     fn engine(&self) -> Engine<'_> {
         Engine::new(self.database())
             .with_dialect(self.dialect)
             .with_logic(self.logic)
             .with_predicates(self.preds.clone())
-            // `Persistent` sessions execute like the optimized engine:
-            // durability lives in the session's storage wiring (and, in
-            // the harnesses, in `persistent_database`'s round trip), not
-            // in the per-query evaluator.
-            .with_optimizations(matches!(
-                self.backend,
-                Backend::OptimizedEngine
-                    | Backend::VectorizedEngine
-                    | Backend::Adaptive
-                    | Backend::Persistent
-            ))
-            .with_vectorized(self.backend == Backend::VectorizedEngine)
-            .with_adaptive(self.backend == Backend::Adaptive)
+            .with_backend(self.backend)
             .with_batch_size(self.batch_size)
             .with_threads(self.threads)
     }

@@ -21,9 +21,9 @@
 //!
 //! The storage layer deliberately knows nothing about queries: it
 //! persists exactly the state the in-memory [`Database`] holds, and the
-//! engine's `Backend::Persistent` validates the round trip against the
-//! spec interpreter the same way every other backend is validated (§4
-//! of Guagliardo & Libkin).
+//! optimizer gauntlet's `--via-storage` fixture validates the round trip
+//! against the spec interpreter the same way every backend is validated
+//! (§4 of Guagliardo & Libkin).
 //!
 //! ```
 //! use sqlsem_core::{table, Name, Row, Value};
@@ -193,7 +193,7 @@ impl Storage {
 
     /// Logs the complete current state of `db` (tables, contents,
     /// indexes) as one WAL batch and commits it — the bulk-load path the
-    /// persistent backend uses to make an in-memory database durable.
+    /// `--via-storage` fixture uses to make an in-memory database durable.
     pub fn save_all(&mut self, db: &Database) -> Result<(), StorageError> {
         for (name, attrs) in db.schema().iter() {
             self.log(&WalOp::CreateTable { name: name.clone(), columns: attrs.to_vec() })?;
@@ -218,7 +218,7 @@ impl Storage {
 
 /// Creates a fresh, unique scratch directory under the system temp dir —
 /// the offline stand-in for the `tempfile` crate, shared by the
-/// persistent backend, the gauntlet, and the tests.
+/// `--via-storage` fixture, the gauntlet, and the tests.
 pub fn fresh_temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);

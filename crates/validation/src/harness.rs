@@ -321,25 +321,12 @@ pub fn session_outcome(session: &mut Session, sql: &str) -> Outcome {
 /// comparison. `batch_size` sets the vectorized backend's batch
 /// granularity and `threads` its morsel worker count (`None` keeps the
 /// engine defaults; the row backends ignore both).
-///
-/// For [`Backend::Persistent`] the database is first pushed through the
-/// durable storage engine ([`sqlsem_engine::persistent_database`]):
-/// written to a temp-dir store, fsynced, reopened, recovery asserted
-/// exact, and every table indexed on its first column — so the sweep
-/// compares the spec interpreter against index-accelerated plans over
-/// crash-recovered data. The oracles see the same recovered database
-/// (the session exposes it via [`Session::database`]), keeping the §4
-/// comparison apples-to-apples.
 pub fn candidate_session(
     db: Database,
     backend: Backend,
     batch_size: Option<usize>,
     threads: Option<usize>,
 ) -> Session {
-    let db = match backend {
-        Backend::Persistent => sqlsem_engine::persistent_database(&db),
-        _ => db,
-    };
     let mut builder = Session::builder().with_database(db).with_backend(backend);
     if let Some(n) = batch_size {
         builder = builder.with_batch_size(n);
@@ -348,6 +335,45 @@ pub fn candidate_session(
         builder = builder.with_threads(n);
     }
     builder.build()
+}
+
+/// Pushes `db` through the durable storage engine and back: writes it
+/// to a throwaway on-disk store (checkpoint + fsync), reopens the store
+/// to recover it, asserts the recovery is **exact**, deletes the store,
+/// and finally gives every table a secondary index on its first column
+/// so generated point/range predicates actually take the index paths.
+///
+/// This is a database fixture, not an evaluator: the optimizer
+/// gauntlet's `--via-storage` flag runs any backend (and both oracles)
+/// over the database it returns, so a sweep checks recovery fidelity
+/// *and* the IndexScan/IndexJoin rewrites at once. Storage failures
+/// panic — they are infrastructure faults, not semantics results the §4
+/// criterion could compare on.
+pub fn via_storage(db: &Database) -> Database {
+    let dir = sqlsem_storage::fresh_temp_dir("via-storage");
+    let round_trip = (|| -> Result<Database, sqlsem_storage::StorageError> {
+        let (mut storage, _) = sqlsem_storage::Storage::open(&dir)?;
+        storage.save_all(db)?;
+        drop(storage);
+        let (_, recovered) = sqlsem_storage::Storage::open(&dir)?;
+        Ok(recovered)
+    })();
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut recovered = round_trip.expect("via storage: storage round trip");
+    assert_eq!(&recovered, db, "via storage: recovery must be exact");
+    let firsts: Vec<(String, String)> = recovered
+        .schema()
+        .iter()
+        .filter_map(|(t, attrs)| Some((t.to_string(), attrs.first()?.to_string())))
+        .collect();
+    for (i, (table, col)) in firsts.into_iter().enumerate() {
+        // Index names must be distinct; column names may repeat
+        // across tables, so the position disambiguates.
+        recovered
+            .create_index(format!("gauntlet_{i}_{col}_idx"), table.as_str(), [col.as_str()])
+            .expect("via storage: index creation");
+    }
+    recovered
 }
 
 /// Runs the §4 validation experiment: formal semantics vs the candidate
@@ -417,6 +443,7 @@ pub fn run_validation(schema: &Schema, config: &ValidationConfig) -> ValidationR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlsem_core::{table, PredicateRegistry, Value};
     use sqlsem_generator::paper_schema;
 
     #[test]
@@ -484,6 +511,34 @@ mod tests {
             let report = run_validation(&schema, &config);
             assert!(report.all_agree(), "backend {backend}:\n{report}");
         }
+    }
+
+    #[test]
+    fn via_storage_round_trips_and_uses_indexes() {
+        let schema = Schema::builder().table("R", ["A"]).table("S", ["A"]).build().unwrap();
+        let mut db = Database::new(schema.clone());
+        db.replace_table("R", table! { ["A"]; [1], [Value::Null], [2], [1] }).unwrap();
+        db.replace_table("S", table! { ["A"]; [Value::Null] }).unwrap();
+        let stored = via_storage(&db);
+        // Recovery is exact; the fixture only adds one index per table.
+        assert_eq!(stored.schema(), db.schema());
+        for (table, _) in db.schema().iter() {
+            assert_eq!(stored.table(table).unwrap(), db.table(table).unwrap(), "{table}");
+        }
+        assert_eq!(stored.indexes().len(), 2);
+        // A point predicate on an indexed first column takes the index
+        // path and agrees with the spec interpreter bit for bit.
+        let q = sqlsem_parser::compile("SELECT R.A FROM R WHERE R.A = 1", &schema).unwrap();
+        let plan = sqlsem_engine::Engine::new(&stored).explain(&q).unwrap();
+        assert!(plan.contains("IndexScan"), "{plan}");
+        let preds = PredicateRegistry::new();
+        let run = |backend: Backend| {
+            backend.execute(&stored, Dialect::Standard, LogicMode::ThreeValued, &preds, &q).unwrap()
+        };
+        let spec = run(Backend::SpecInterpreter);
+        assert_eq!(spec.len(), 2);
+        assert_eq!(run(Backend::OptimizedEngine), spec);
+        assert_eq!(run(Backend::VectorizedEngine), spec);
     }
 
     #[test]

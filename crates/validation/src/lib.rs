@@ -17,6 +17,6 @@ pub use compare::{
     compare, compare_with_order, ordered_comparison, OrderedComparison, Outcome, Verdict,
 };
 pub use harness::{
-    candidate_session, iteration_case, iteration_rng, run_validation, session_outcome,
+    candidate_session, iteration_case, iteration_rng, run_validation, session_outcome, via_storage,
     DialectStats, Disagreement, ValidationConfig, ValidationReport,
 };

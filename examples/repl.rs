@@ -33,9 +33,7 @@
 //! and row counts, `\backend spec|naive|optimized|vectorized|adaptive`,
 //! `\batchsize N` (the vectorized backend's rows-per-batch),
 //! `\threads N` (morsel workers for the vectorized executor; 0 = auto),
-//! `\adaptive on|off` (shorthand for switching between the adaptive
-//! and optimized backends), `\dialect standard|postgresql|oracle`,
-//! `\q` quits.
+//! `\dialect standard|postgresql|oracle`, `\q` quits.
 //!
 //! With `--storage DIR` the session opens a durable store in `DIR`
 //! (replaying its WAL if a previous run crashed); every DDL and
@@ -142,17 +140,6 @@ fn meta_command(session: &mut Session, line: &str) -> bool {
             }
             Err(_) => println!("unknown thread count {arg:?}: expected an integer (0 = auto)"),
         },
-        (Some("\\adaptive"), Some(arg)) => match arg.to_ascii_lowercase().as_str() {
-            "on" => {
-                session.set_backend(Backend::Adaptive);
-                println!("backend: {}", session.backend());
-            }
-            "off" => {
-                session.set_backend(Backend::OptimizedEngine);
-                println!("backend: {}", session.backend());
-            }
-            _ => println!("unknown adaptive setting {arg:?}: expected on or off"),
-        },
         (Some("\\dialect"), Some(arg)) => {
             let dialect = match arg.to_ascii_lowercase().as_str() {
                 "standard" => Some(Dialect::Standard),
@@ -173,7 +160,7 @@ fn meta_command(session: &mut Session, line: &str) -> bool {
         _ => println!(
             "meta commands: \\d (schema, indexes, on-disk stats)  \
              \\backend <spec|naive|optimized|vectorized|adaptive>  \
-             \\batchsize <rows>  \\threads <n>  \\adaptive <on|off>  \
+             \\batchsize <rows>  \\threads <n>  \
              \\dialect <standard|postgresql|oracle>  \\q (quit)"
         ),
     }
