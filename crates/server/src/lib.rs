@@ -30,6 +30,8 @@
 //!   include the caret line pointing into the offending SQL. A payload
 //!   line that would be empty is sent as a single space so it can never
 //!   be mistaken for the terminator.
+//! * A line longer than [`MAX_LINE_BYTES`] is answered with one error
+//!   block and discarded up to its newline; the connection stays open.
 //!
 //! ```text
 //! $ nc 127.0.0.1 5433
@@ -77,6 +79,12 @@ use sqlsem_session::{Backend, Connection, SessionBuilder, SharedDatabase};
 /// the shutdown flag. Bounds how stale a shutdown request can go
 /// unnoticed.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
+
+/// The longest request line the server accepts, in bytes (excluding
+/// the newline). A longer line is answered with one error block and
+/// discarded up to its newline, so a client cannot grow a worker's
+/// buffer without bound and the connection stays usable.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Configures and binds a [`Server`].
 #[derive(Clone, Debug, Default)]
@@ -282,8 +290,7 @@ fn serve_client(
         .with_dialect(template.dialect)
         .with_logic(template.logic)
         .with_backend(template.backend)
-        .try_build()
-        .expect("a shared connection opens no storage");
+        .build();
     write_block(
         &mut out,
         &format!(
@@ -295,15 +302,15 @@ fn serve_client(
     )?;
     let mut statements = 0usize;
     let mut rows_affected = 0usize;
-    let mut line = String::new();
+    // A timed-out read keeps the partial line in `line`, so the buffer
+    // is only cleared after a complete line is handled. Once a line
+    // outgrows MAX_LINE_BYTES its bytes are dropped until the newline.
+    let mut line = Vec::new();
+    let mut too_long = false;
     loop {
-        // A timed-out read may leave a partial line in the buffer
-        // (`read_line` keeps everything it read so far), so the buffer
-        // is only cleared after a complete line is handled.
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) if line.ends_with('\n') => {}
-            Ok(_) => continue, // EOF will follow with the partial line
+        let buf = match reader.fill_buf() {
+            Ok([]) => return Ok(()), // client hung up; a partial line is dropped
+            Ok(buf) => buf,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if stop.load(Ordering::SeqCst) {
                     return write_block(&mut out, "server shutting down");
@@ -311,8 +318,29 @@ fn serve_client(
                 continue;
             }
             Err(e) => return Err(e),
+        };
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let chunk = &buf[..newline.unwrap_or(buf.len())];
+        too_long |= line.len() + chunk.len() > MAX_LINE_BYTES;
+        if too_long {
+            line.clear();
+        } else {
+            line.extend_from_slice(chunk);
         }
-        let text = line.trim().trim_end_matches(';').trim_end().to_string();
+        let used = newline.map_or(buf.len(), |i| i + 1);
+        reader.consume(used);
+        if newline.is_none() {
+            continue;
+        }
+        if std::mem::take(&mut too_long) {
+            write_block(
+                &mut out,
+                &format!("error: request line longer than {MAX_LINE_BYTES} bytes, discarded"),
+            )?;
+            continue;
+        }
+        let text =
+            String::from_utf8_lossy(&line).trim().trim_end_matches(';').trim_end().to_string();
         line.clear();
         if text.is_empty() {
             write_block(&mut out, "")?;
@@ -526,6 +554,19 @@ mod tests {
         let err = client.send("SELECT FROM WHERE").unwrap();
         assert!(err.contains("parse error"), "{err}");
         assert!(err.contains('^'), "{err}");
+        assert_eq!(client.send("CREATE TABLE R (A)").unwrap(), "CREATE TABLE");
+        server.shutdown();
+    }
+
+    #[test]
+    fn over_long_lines_get_one_error_and_the_connection_survives() {
+        let server = bind_local();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        // At the limit: accepted (all spaces, so an empty block).
+        assert_eq!(client.send(&" ".repeat(MAX_LINE_BYTES)).unwrap(), "");
+        // One byte over: one error block, the rest of the line dropped.
+        let err = client.send(&"x".repeat(MAX_LINE_BYTES + 1)).unwrap();
+        assert!(err.contains("longer than"), "{err}");
         assert_eq!(client.send("CREATE TABLE R (A)").unwrap(), "CREATE TABLE");
         server.shutdown();
     }

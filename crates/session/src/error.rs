@@ -59,10 +59,10 @@ pub enum SqlsemError {
         /// Span of the offending statement within `sql`.
         span: Span,
     },
-    /// The session was configured inconsistently — e.g. a shared
-    /// database combined with a private storage directory (durability
-    /// for a [`SharedDatabase`](crate::SharedDatabase) is configured
-    /// when the shared handle is opened, not per connection).
+    /// The session was configured inconsistently: a shared database
+    /// combined with a seed database (a
+    /// [`SharedDatabase`](crate::SharedDatabase) is seeded when it is
+    /// created, not per connection).
     Config {
         /// What was inconsistent.
         message: String,
@@ -97,7 +97,7 @@ impl SqlsemError {
         SqlsemError::Eval { source, sql: sql.into(), span }
     }
 
-    pub(crate) fn storage(source: impl fmt::Display) -> Self {
+    pub(crate) fn storage_failure(source: impl fmt::Display) -> Self {
         SqlsemError::Storage { message: source.to_string() }
     }
 

@@ -69,13 +69,16 @@
 //!
 //! [`Session`] is an alias for [`Connection`]: the cheap per-caller
 //! object carrying configuration (dialect × logic × backend) and the
-//! prepared-statement identity, layered over either an **owned**
-//! database (the historical single-caller mode above) or a
-//! [`SharedDatabase`] — a versioned MVCC cell many connections use
-//! concurrently. Readers evaluate against lock-free `Arc<Database>`
+//! prepared-statement identity. A connection is a snapshot — an
+//! `Arc<Database>` its statements evaluate against — plus an optional
+//! commit queue. Without one it **owns** its database (the
+//! single-caller mode above) and writes into it copy-on-write. With
+//! one it belongs to a [`SharedDatabase`]: a versioned MVCC cell many
+//! connections use concurrently. Readers evaluate against lock-free
 //! snapshots; every DDL/DML statement serializes through a group-commit
-//! queue that WAL-logs and fsyncs each batch once, then publishes one
-//! new snapshot (see [`SharedDatabase`] and `sqlsem-server` for the TCP
+//! queue that applies each batch, publishes one new snapshot and — when
+//! the cell was opened on a directory — WAL-logs and fsyncs the batch
+//! once first (see [`SharedDatabase`] and `sqlsem-server` for the TCP
 //! front end):
 //!
 //! ```
@@ -88,6 +91,10 @@
 //! let n = reader.execute("SELECT COUNT(*) AS n FROM R").unwrap();
 //! assert_eq!(n.rows().unwrap().len(), 1);
 //! ```
+//!
+//! Durability lives only there: a durable connection is
+//! `SharedDatabase::open(dir)?.connect()` (see [`SharedDatabase::open`]),
+//! and reopening the directory recovers every acknowledged statement.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -96,7 +103,6 @@ mod error;
 mod shared;
 
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use sqlsem_core::{
@@ -105,7 +111,7 @@ use sqlsem_core::{
 };
 use sqlsem_engine::{Engine, Prepared, DEFAULT_BATCH_SIZE};
 use sqlsem_parser::{annotate_statement, parse_script, parse_statement, Statement};
-use sqlsem_storage::{Storage, WalOp, DEFAULT_CHECKPOINT_THRESHOLD};
+use sqlsem_storage::WalOp;
 
 pub use error::SqlsemError;
 pub use shared::SharedDatabase;
@@ -134,7 +140,6 @@ pub struct SessionBuilder {
     db: Option<Database>,
     batch_size: Option<usize>,
     threads: usize,
-    storage: Option<PathBuf>,
     shared: Option<SharedDatabase>,
 }
 
@@ -210,43 +215,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Backs the session with the durable storage engine rooted at
-    /// `dir` (created if absent): every DDL/DML statement is logged to
-    /// the write-ahead log and fsynced before it is acknowledged, and
-    /// reopening the same directory recovers the last committed state —
-    /// checkpoint plus WAL replay, torn tail truncated.
-    ///
-    /// When the directory already holds a database, that recovered
-    /// state wins and any [`SessionBuilder::with_database`] /
-    /// [`SessionBuilder::with_schema`] seed is ignored; a *fresh*
-    /// directory is seeded from the provided database (if any).
-    ///
-    /// ```no_run
-    /// use sqlsem_session::Session;
-    ///
-    /// let dir = std::env::temp_dir().join("sqlsem-quickstart");
-    /// let mut s = Session::builder().with_storage(&dir).try_build().unwrap();
-    /// s.execute("CREATE TABLE R (A)").unwrap();
-    /// s.execute("INSERT INTO R VALUES (1), (2)").unwrap();
-    /// s.execute("CREATE INDEX r_a_idx ON R (A)").unwrap();
-    /// drop(s); // or crash —
-    /// let mut s = Session::builder().with_storage(&dir).try_build().unwrap();
-    /// let n = s.execute("SELECT COUNT(*) AS n FROM R WHERE R.A = 1").unwrap();
-    /// assert_eq!(n.rows().unwrap().len(), 1); // recovered, index and all
-    /// ```
-    #[must_use]
-    pub fn with_storage(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.storage = Some(dir.into());
-        self
-    }
-
     /// Connects the session to an existing [`SharedDatabase`] instead
     /// of an owned one: reads evaluate against lock-free snapshots of
     /// the shared state, and every DDL/DML statement serializes through
-    /// its commit queue. Mutually exclusive with
-    /// [`SessionBuilder::with_storage`] (durability belongs to
-    /// [`SharedDatabase::open`]) and with
-    /// [`SessionBuilder::with_database`] /
+    /// its commit queue. This is also how a connection becomes durable:
+    /// `SharedDatabase::open(dir)` owns the store. Mutually exclusive
+    /// with [`SessionBuilder::with_database`] /
     /// [`SessionBuilder::with_schema`] (a shared database is seeded
     /// when it is created) — [`SessionBuilder::try_build`] reports the
     /// conflict as [`SqlsemError::Config`].
@@ -260,58 +234,32 @@ impl SessionBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if [`SessionBuilder::with_storage`] was given a directory
-    /// that cannot be opened or recovered — use
-    /// [`SessionBuilder::try_build`] to handle storage failures.
+    /// Panics if [`SessionBuilder::with_shared`] was combined with
+    /// [`SessionBuilder::with_database`] or
+    /// [`SessionBuilder::with_schema`] — use
+    /// [`SessionBuilder::try_build`] to handle that conflict.
     pub fn build(self) -> Session {
-        self.try_build().expect("session storage opens")
+        self.try_build().expect("session configuration is consistent")
     }
 
-    /// Finishes the builder, surfacing storage failures as
-    /// [`SqlsemError::Storage`] instead of panicking. Infallible when
-    /// no storage directory was configured.
+    /// Finishes the builder, reporting a seed database combined with a
+    /// shared one as [`SqlsemError::Config`] instead of panicking.
     pub fn try_build(self) -> Result<Session, SqlsemError> {
-        let handle = match self.shared {
-            Some(shared) => {
-                if self.storage.is_some() {
-                    return Err(SqlsemError::config(
-                        "with_shared and with_storage are mutually exclusive: durability for \
-                         a shared database is configured by SharedDatabase::open",
-                    ));
-                }
-                if self.db.is_some() {
-                    return Err(SqlsemError::config(
-                        "with_shared and with_database/with_schema are mutually exclusive: \
-                         a shared database is seeded when it is created",
-                    ));
-                }
-                let (snap, version) = shared.snapshot_versioned();
-                DbHandle::Shared { shared, snap, version, pinned: false }
+        let (snap, version) = match (&self.shared, self.db) {
+            (Some(_), Some(_)) => {
+                return Err(SqlsemError::config(
+                    "with_shared and with_database/with_schema are mutually exclusive: \
+                     a shared database is seeded when it is created",
+                ))
             }
-            None => {
-                let (db, storage) = match self.storage {
-                    None => (self.db.unwrap_or_else(|| Database::new(Schema::default())), None),
-                    Some(dir) => {
-                        let (mut storage, recovered) =
-                            Storage::open(&dir).map_err(SqlsemError::storage)?;
-                        let fresh = recovered.schema().is_empty() && recovered.indexes().is_empty();
-                        let db = match (fresh, self.db) {
-                            // A fresh store adopts (and persists) the seed.
-                            (true, Some(seed)) => {
-                                storage.save_all(&seed).map_err(SqlsemError::storage)?;
-                                seed
-                            }
-                            // Recovered durable state always wins over a seed.
-                            (_, _) => recovered,
-                        };
-                        (db, Some(storage))
-                    }
-                };
-                DbHandle::Owned { db, storage }
-            }
+            (Some(shared), None) => shared.snapshot_versioned(),
+            (None, db) => (Arc::new(db.unwrap_or_else(|| Database::new(Schema::default()))), 0),
         };
         Ok(Connection {
-            handle,
+            snap,
+            version,
+            shared: self.shared,
+            pinned: false,
             dialect: self.dialect,
             logic: self.logic,
             backend: self.backend,
@@ -458,43 +406,26 @@ static NEXT_SESSION_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomic
 /// call sites (and the harnesses built on them) compile unchanged.
 pub type Session = Connection;
 
-/// How a connection reaches its database.
-#[derive(Debug)]
-enum DbHandle {
-    /// The connection privately owns the database — the historical
-    /// single-caller `Session` — optionally backed by a private durable
-    /// store.
-    Owned {
-        /// The owned database.
-        db: Database,
-        /// The durable store, when configured via
-        /// [`SessionBuilder::with_storage`]: every mutating statement
-        /// is WAL-logged and fsynced before it is acknowledged.
-        storage: Option<Storage>,
-    },
-    /// The connection reads lock-free snapshots of a [`SharedDatabase`]
-    /// and writes through its commit queue.
-    Shared {
-        /// The shared cell.
-        shared: SharedDatabase,
-        /// The snapshot statements currently evaluate against
-        /// (refreshed at every statement unless pinned).
-        snap: Arc<Database>,
-        /// The version of `snap`.
-        version: u64,
-        /// `true` while [`Connection::pin_snapshot`] holds reads at
-        /// `snap`.
-        pinned: bool,
-    },
-}
-
 /// A stateful SQL connection: one object that executes SQL text under
 /// a fixed dialect × logic mode × backend configuration, over either
 /// an owned [`Database`] or a [`SharedDatabase`]. See the
 /// [crate docs](crate) for examples.
+///
+/// Either way a connection is a snapshot plus an optional commit queue:
+/// statements evaluate against `snap`; an owned connection writes into
+/// it copy-on-write, a shared one submits to the [`SharedDatabase`]'s
+/// queue and takes the snapshot the commit published.
 #[derive(Debug)]
 pub struct Connection {
-    handle: DbHandle,
+    /// The database statements evaluate against: the owned database,
+    /// or the shared snapshot as of the last statement.
+    snap: Arc<Database>,
+    /// The version of `snap` (`0` on owned connections).
+    version: u64,
+    /// The shared cell, when writes go through its commit queue.
+    shared: Option<SharedDatabase>,
+    /// `true` while [`Connection::pin_snapshot`] holds reads at `snap`.
+    pinned: bool,
     dialect: Dialect,
     logic: LogicMode,
     backend: Backend,
@@ -514,29 +445,20 @@ pub struct Connection {
 }
 
 impl Clone for Connection {
-    /// What a clone means depends on how the connection reaches its
-    /// database:
+    /// A new connection with the same configuration and a fresh
+    /// identity, reaching the database the way this one does:
     ///
-    /// * **Shared**: the clone is a new connection over the *same*
-    ///   [`SharedDatabase`] — same configuration, fresh identity. Both
-    ///   see each other's committed writes; this is the natural "one
-    ///   more caller" operation.
-    /// * **Owned**: the historical fork semantics — an independent
-    ///   in-memory deep copy whose schema can diverge from here on,
-    ///   never sharing (or reopening) the original's storage directory.
-    ///   This silent fork is **deprecated as a `clone` meaning**; new
-    ///   code should say [`Connection::fork`], which spells the copy
-    ///   out (and also works on shared connections, detaching a private
-    ///   copy of the current snapshot).
+    /// * **Shared**: a new connection over the *same*
+    ///   [`SharedDatabase`]. Both see each other's committed writes;
+    ///   this is the natural "one more caller" operation.
+    /// * **Owned**: the historical fork semantics — a divergent
+    ///   copy-on-write copy whose schema can drift from here on. This
+    ///   silent fork is **deprecated as a `clone` meaning**; new code
+    ///   should say [`Connection::fork`], which spells the copy out (and
+    ///   also works on shared connections, detaching a private copy of
+    ///   the current snapshot).
     fn clone(&self) -> Self {
-        match &self.handle {
-            DbHandle::Owned { .. } => self.fork(),
-            DbHandle::Shared { shared, .. } => {
-                let shared = shared.clone();
-                let (snap, version) = shared.snapshot_versioned();
-                self.fresh_with(DbHandle::Shared { shared, snap, version, pinned: false })
-            }
-        }
+        self.fresh_with(self.shared.clone())
     }
 }
 
@@ -558,20 +480,28 @@ impl Connection {
         SessionBuilder::new()
     }
 
-    /// An independent in-memory deep copy of this connection's current
+    /// An independent copy-on-write copy of this connection's current
     /// database view (for a shared connection: the current snapshot),
     /// with the same configuration and a fresh identity. The fork owns
-    /// its database — it never shares the original's storage directory
-    /// or shared cell, and the two schemas can diverge from here on.
+    /// its database — it never writes to the original's shared cell or
+    /// durable store, and the two schemas can diverge from here on.
     pub fn fork(&self) -> Connection {
-        self.fresh_with(DbHandle::Owned { db: self.database().clone(), storage: None })
+        self.fresh_with(None)
     }
 
-    /// A connection with this one's configuration, a fresh identity,
-    /// and the given handle.
-    fn fresh_with(&self, handle: DbHandle) -> Connection {
+    /// A connection with this one's configuration and a fresh identity,
+    /// over `shared`'s latest snapshot — or, with `None`, owning this
+    /// connection's current view.
+    fn fresh_with(&self, shared: Option<SharedDatabase>) -> Connection {
+        let (snap, version) = match &shared {
+            Some(shared) => shared.snapshot_versioned(),
+            None => (Arc::clone(&self.snap), 0),
+        };
         Connection {
-            handle,
+            snap,
+            version,
+            shared,
+            pinned: false,
             dialect: self.dialect,
             logic: self.logic,
             backend: self.backend,
@@ -588,10 +518,7 @@ impl Connection {
     /// statement (each statement refreshes it unless
     /// [`Connection::pin_snapshot`] is in effect).
     pub fn database(&self) -> &Database {
-        match &self.handle {
-            DbHandle::Owned { db, .. } => db,
-            DbHandle::Shared { snap, .. } => snap,
-        }
+        &self.snap
     }
 
     /// The current schema.
@@ -603,10 +530,7 @@ impl Connection {
     /// built with [`SessionBuilder::with_shared`] (or
     /// [`SharedDatabase::connect`]).
     pub fn shared_database(&self) -> Option<&SharedDatabase> {
-        match &self.handle {
-            DbHandle::Owned { .. } => None,
-            DbHandle::Shared { shared, .. } => Some(shared),
-        }
+        self.shared.as_ref()
     }
 
     /// Freezes reads at the current snapshot of the shared database:
@@ -614,43 +538,32 @@ impl Connection {
     /// against this exact version even as other connections commit.
     /// Writes still go through the commit queue (they are just not
     /// observed). The differential harnesses pin around each read so
-    /// the spec interpreter can be run on the *same* value. A no-op on
-    /// owned connections, whose database only changes under their own
-    /// hands.
+    /// the spec interpreter can be run on the *same* value. Has no
+    /// effect on owned connections, whose database only changes under
+    /// their own hands.
     pub fn pin_snapshot(&mut self) {
         self.refresh();
-        if let DbHandle::Shared { pinned, .. } = &mut self.handle {
-            *pinned = true;
-        }
+        self.pinned = true;
     }
 
     /// Releases [`Connection::pin_snapshot`]: the next statement sees
     /// the latest committed state again.
     pub fn unpin_snapshot(&mut self) {
-        if let DbHandle::Shared { pinned, .. } = &mut self.handle {
-            *pinned = false;
-        }
+        self.pinned = false;
         self.refresh();
     }
 
     /// The version of the snapshot this connection currently reads
     /// (`0` on owned connections, whose database is unversioned).
     pub fn snapshot_version(&self) -> u64 {
-        match &self.handle {
-            DbHandle::Owned { .. } => 0,
-            DbHandle::Shared { version, .. } => *version,
-        }
+        self.version
     }
 
     /// Takes the latest published snapshot, unless reads are pinned or
     /// the database is owned.
     fn refresh(&mut self) {
-        if let DbHandle::Shared { shared, snap, version, pinned } = &mut self.handle {
-            if !*pinned {
-                let (s, v) = shared.snapshot_versioned();
-                *snap = s;
-                *version = v;
-            }
+        if let (Some(shared), false) = (&self.shared, self.pinned) {
+            (self.snap, self.version) = shared.snapshot_versioned();
         }
     }
 
@@ -681,29 +594,11 @@ impl Connection {
         self.threads
     }
 
-    /// The durable store backing this session, when one was configured
-    /// via [`SessionBuilder::with_storage`] — exposes the directory,
-    /// WAL length and per-table page/row statistics (`\d` in the REPL).
-    /// `None` on shared connections, whose durability lives with the
-    /// [`SharedDatabase`].
-    pub fn storage(&self) -> Option<&Storage> {
-        match &self.handle {
-            DbHandle::Owned { storage, .. } => storage.as_ref(),
-            DbHandle::Shared { .. } => None,
-        }
-    }
-
     /// Forces a checkpoint of the durable store (compacting the WAL
-    /// into the paged checkpoint file). A no-op for in-memory sessions;
-    /// on a shared connection, checkpoints the shared store.
-    pub fn checkpoint(&mut self) -> Result<(), SqlsemError> {
-        match &mut self.handle {
-            DbHandle::Owned { db, storage: Some(s) } => {
-                s.checkpoint(db).map_err(SqlsemError::storage)
-            }
-            DbHandle::Owned { storage: None, .. } => Ok(()),
-            DbHandle::Shared { shared, .. } => shared.checkpoint(),
-        }
+    /// into the paged checkpoint file) of the shared database this
+    /// connection writes to. A no-op for owned and in-memory databases.
+    pub fn checkpoint(&self) -> Result<(), SqlsemError> {
+        self.shared.as_ref().map_or(Ok(()), SharedDatabase::checkpoint)
     }
 
     /// Switches the dialect. Invalidates prepared statements (they
@@ -957,38 +852,25 @@ impl Connection {
     }
 
     /// Routes one mutation to wherever this connection's database
-    /// lives. Owned: apply to the private copy, then WAL-log, fsync,
-    /// and maybe checkpoint (group commit: one `fdatasync` per
-    /// statement). Shared: submit to the [`SharedDatabase`] commit
-    /// queue, block until a leader commits the batch, and refresh the
-    /// snapshot — publish-before-deliver in the queue guarantees the
-    /// refreshed snapshot contains this write.
+    /// lives. Owned: apply to the snapshot, copying it first only if a
+    /// fork still shares it. Shared: submit to the [`SharedDatabase`]
+    /// commit queue, block until a leader commits the batch, and
+    /// refresh the snapshot — publish-before-deliver in the queue
+    /// guarantees the refreshed snapshot contains this write.
     fn apply(&mut self, op: WalOp, sql: &str, span: Span) -> Result<(), SqlsemError> {
-        match &mut self.handle {
-            DbHandle::Owned { db, storage } => {
-                shared::apply_op(db, &op).map_err(|e| e.into_sqlsem(sql, span))?;
-                let Some(storage) = storage.as_mut() else {
-                    return Ok(());
-                };
-                storage.log(&op).map_err(SqlsemError::storage)?;
-                storage.commit().map_err(SqlsemError::storage)?;
-                storage
-                    .maybe_checkpoint(db, DEFAULT_CHECKPOINT_THRESHOLD)
-                    .map_err(SqlsemError::storage)
-            }
-            DbHandle::Shared { shared, .. } => {
-                let cell = shared.clone();
-                cell.commit(op).map_err(|e| e.into_sqlsem(sql, span))?;
-                self.refresh();
-                Ok(())
-            }
+        match &self.shared {
+            None => shared::apply_op(Arc::make_mut(&mut self.snap), &op),
+            Some(shared) => shared.commit(op).map(drop),
         }
+        .map_err(|e| e.into_sqlsem(sql, span))?;
+        self.refresh();
+        Ok(())
     }
 
     /// `INSERT INTO table [(columns)] VALUES rows`, the pure half:
     /// reorders each value tuple into schema attribute order (filling
     /// unmentioned columns with `NULL`) without appending — the caller
-    /// appends and, for durable sessions, WAL-logs the same rows.
+    /// submits the rows as one [`WalOp::Append`].
     fn full_rows(
         &self,
         table: &Name,

@@ -35,7 +35,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 
 use sqlsem_core::{Database, EvalError, SchemaError, Table};
-use sqlsem_storage::{Storage, WalOp, DEFAULT_CHECKPOINT_THRESHOLD};
+use sqlsem_storage::{Storage, TableStats, WalOp, DEFAULT_CHECKPOINT_THRESHOLD};
 
 use crate::{Connection, SqlsemError};
 
@@ -59,7 +59,7 @@ impl CommitError {
         match self {
             CommitError::Schema(e) => SqlsemError::schema(e, sql, span),
             CommitError::Eval(e) => SqlsemError::eval(e, sql, span),
-            CommitError::Storage(message) => SqlsemError::storage(message),
+            CommitError::Storage(message) => SqlsemError::storage_failure(message),
         }
     }
 }
@@ -139,9 +139,24 @@ impl SharedDatabase {
     /// Opens (creating if needed) the durable database at `dir` and
     /// shares its recovered state: every committed batch is WAL-logged
     /// and fsynced before any writer in it is acknowledged, and
-    /// reopening the directory recovers the last committed state.
+    /// reopening the directory recovers the last committed state —
+    /// checkpoint plus WAL replay, torn tail truncated. This is the one
+    /// way to make a connection durable.
+    ///
+    /// ```no_run
+    /// use sqlsem_session::SharedDatabase;
+    ///
+    /// let dir = std::env::temp_dir().join("sqlsem-quickstart");
+    /// let mut s = SharedDatabase::open(&dir).unwrap().connect();
+    /// s.run_script("CREATE TABLE R (A); INSERT INTO R VALUES (1), (2)").unwrap();
+    /// s.execute("CREATE INDEX r_a_idx ON R (A)").unwrap();
+    /// drop(s); // or crash —
+    /// let mut s = SharedDatabase::open(&dir).unwrap().connect();
+    /// let n = s.execute("SELECT COUNT(*) AS n FROM R WHERE R.A = 1").unwrap();
+    /// assert_eq!(n.rows().unwrap().len(), 1); // recovered, index and all
+    /// ```
     pub fn open(dir: impl AsRef<Path>) -> Result<SharedDatabase, SqlsemError> {
-        let (storage, db) = Storage::open(dir).map_err(SqlsemError::storage)?;
+        let (storage, db) = Storage::open(dir).map_err(SqlsemError::storage_failure)?;
         Ok(SharedDatabase::with_parts(db, Some(storage)))
     }
 
@@ -159,10 +174,7 @@ impl SharedDatabase {
     /// [`Session::builder().with_shared(..)`](crate::SessionBuilder::with_shared)
     /// to pick a dialect, logic mode, or backend.
     pub fn connect(&self) -> Connection {
-        crate::SessionBuilder::new()
-            .with_shared(self)
-            .try_build()
-            .expect("a shared connection has no storage to open")
+        crate::SessionBuilder::new().with_shared(self).build()
     }
 
     /// The current snapshot — an immutable value; holding it pins
@@ -208,9 +220,18 @@ impl SharedDatabase {
         let mut committer = self.inner.committer.lock().expect("committer lock");
         let Committer { master, storage, .. } = &mut *committer;
         match storage.as_mut() {
-            Some(s) => s.checkpoint(master).map_err(SqlsemError::storage),
+            Some(s) => s.checkpoint(master).map_err(SqlsemError::storage_failure),
             None => Ok(()),
         }
+    }
+
+    /// The on-disk footprint of `table` as of the last checkpoint
+    /// (pages and rows; rows still only in the WAL are not counted).
+    /// `None` for in-memory databases and for tables no checkpoint has
+    /// recorded yet.
+    pub fn table_stats(&self, table: &str) -> Option<TableStats> {
+        let committer = self.inner.committer.lock().expect("committer lock");
+        committer.storage.as_ref()?.table_stats(table)
     }
 
     /// `true` when the shared database is backed by durable storage.

@@ -1,11 +1,14 @@
-//! Integration tests for the durable storage wiring of [`Session`]:
-//! every mutating statement is WAL-logged and fsynced before it is
-//! acknowledged, so dropping a session and reopening the same directory
-//! recovers exactly the committed state — schema, rows (in order,
-//! duplicates preserved), and index definitions.
+//! Integration tests for durable connections
+//! (`SharedDatabase::open(dir)?.connect()`): every mutating statement
+//! is WAL-logged and fsynced before it is acknowledged, so dropping the
+//! connection and reopening the same directory recovers exactly the
+//! committed state — schema, rows (in order, duplicates preserved), and
+//! index definitions.
 
-use sqlsem_core::{Database, Schema, Value};
-use sqlsem_session::{Session, SqlsemError, StatementResult};
+use std::collections::BTreeMap;
+
+use sqlsem_core::Value;
+use sqlsem_session::{Connection, SharedDatabase, SqlsemError, StatementResult};
 use sqlsem_storage::fresh_temp_dir;
 
 /// Runs `f` against a fresh storage directory and removes it afterwards
@@ -17,8 +20,8 @@ fn with_dir(tag: &str, f: impl FnOnce(&std::path::Path)) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn open(dir: &std::path::Path) -> Session {
-    Session::builder().with_storage(dir).try_build().expect("storage opens")
+fn open(dir: &std::path::Path) -> Connection {
+    SharedDatabase::open(dir).expect("storage opens").connect()
 }
 
 #[test]
@@ -78,52 +81,40 @@ fn drop_index_is_durable_too() {
     });
 }
 
-#[test]
-fn fresh_directory_adopts_the_seed_database() {
-    with_dir("session_fresh_seed", |dir| {
-        let schema = Schema::builder().table("T", ["X"]).build().unwrap();
-        let seed = Database::new(schema);
-        let s = Session::builder().with_database(seed).with_storage(dir).try_build().unwrap();
-        assert!(s.schema().attributes("T").is_some());
-        drop(s);
-        // The adopted seed was persisted, not just held in memory.
-        let s = open(dir);
-        assert!(s.schema().attributes("T").is_some());
-    });
+/// Every file in the store, by name, with its bytes.
+fn store_files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (entry.file_name().to_string_lossy().into_owned(), std::fs::read(entry.path()).unwrap())
+        })
+        .collect()
 }
 
 #[test]
-fn recovered_state_wins_over_a_seed() {
-    with_dir("session_recovered_wins", |dir| {
-        let mut s = open(dir);
-        s.execute("CREATE TABLE Durable (A)").unwrap();
-        drop(s);
-
-        let schema = Schema::builder().table("Seed", ["X"]).build().unwrap();
-        let s = Session::builder()
-            .with_database(Database::new(schema))
-            .with_storage(dir)
-            .try_build()
-            .unwrap();
-        assert!(s.schema().attributes("Durable").is_some(), "durable state is kept");
-        assert!(s.schema().attributes("Seed").is_none(), "the seed is ignored");
-    });
-}
-
-#[test]
-fn cloned_sessions_detach_from_the_store() {
-    with_dir("session_clone_detaches", |dir| {
+fn forks_of_a_durable_connection_never_write_to_the_store() {
+    with_dir("session_fork_detaches", |dir| {
         let mut s = open(dir);
         s.execute("CREATE TABLE R (A)").unwrap();
+        let before = store_files(dir);
+
+        // A fork keeps working on a private copy without touching the store.
+        let mut fork = s.fork();
+        assert!(fork.shared_database().is_none());
+        fork.run_script("CREATE TABLE OnlyInFork (B); INSERT INTO R VALUES (1)").unwrap();
+        assert_eq!(store_files(dir), before, "the fork wrote to the store");
+
+        // A clone is one more caller of the same durable database.
         let mut clone = s.clone();
-        assert!(s.storage().is_some());
-        assert!(clone.storage().is_none(), "one WAL has one writer");
-        // The clone keeps working in memory without touching the store.
-        clone.execute("CREATE TABLE OnlyInClone (B)").unwrap();
-        drop(clone);
-        drop(s);
+        assert!(clone.shared_database().is_some());
+        clone.execute("CREATE TABLE ViaClone (C)").unwrap();
+        drop((fork, clone, s));
+
         let s = open(dir);
-        assert!(s.schema().attributes("OnlyInClone").is_none());
+        assert!(s.schema().attributes("OnlyInFork").is_none());
+        assert!(s.schema().attributes("ViaClone").is_some());
+        assert!(s.database().table("R").unwrap().is_empty());
     });
 }
 
@@ -131,11 +122,11 @@ fn cloned_sessions_detach_from_the_store() {
 fn storage_failures_surface_as_storage_errors() {
     with_dir("session_bad_dir", |dir| {
         // A file where the storage directory should be: open must fail
-        // cleanly through try_build, not panic.
+        // cleanly, not panic.
         std::fs::create_dir_all(dir).unwrap();
         let file = dir.join("not_a_dir");
         std::fs::write(&file, b"occupied").unwrap();
-        let err = Session::builder().with_storage(&file).try_build().unwrap_err();
+        let err = SharedDatabase::open(&file).unwrap_err();
         assert!(matches!(err, SqlsemError::Storage { .. }), "{err}");
         assert_eq!(err.sql(), "");
     });

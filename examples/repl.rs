@@ -35,11 +35,12 @@
 //! `\threads N` (morsel workers for the vectorized executor; 0 = auto),
 //! `\dialect standard|postgresql|oracle`, `\q` quits.
 //!
-//! With `--storage DIR` the session opens a durable store in `DIR`
-//! (replaying its WAL if a previous run crashed); every DDL and
-//! `INSERT` is logged and fsynced before it reports success, so
-//! `CREATE TABLE`/`INSERT`/`CREATE INDEX` survive a kill and a
-//! reopen of the same directory.
+//! With `--storage DIR` the REPL opens `DIR` as a durable
+//! `SharedDatabase` (replaying its WAL if a previous run crashed) and
+//! connects to it — the same commit path the server uses. Every DDL
+//! and `INSERT` goes through its commit queue and is logged and
+//! fsynced before it reports success, so `CREATE TABLE`/`INSERT`/
+//! `CREATE INDEX` survive a kill and a reopen of the same directory.
 //!
 //! With `--connect ADDR` the REPL is a **network client** instead: no
 //! local database — every statement (and every `\…` meta command) is
@@ -50,16 +51,17 @@
 use std::io::{self, BufRead, IsTerminal, Write};
 
 use sqlsem::server::Client;
-use sqlsem::{Backend, Dialect, Session};
+use sqlsem::{Backend, Dialect, Session, SharedDatabase};
 
-/// Prints the schema, index definitions and (when a durable store is
-/// attached) per-table on-disk footprints — the `\d` meta command.
-/// Checkpoints first so the reported pages/rows reflect the current
-/// database rather than whatever the last WAL compaction happened to
-/// capture.
-fn describe(session: &mut Session) {
-    if session.storage().is_some() {
-        if let Err(e) = session.checkpoint() {
+/// Prints the schema, index definitions and (when the REPL was started
+/// with `--storage DIR`) per-table on-disk footprints — the `\d` meta
+/// command. Checkpoints first so the reported pages/rows reflect the
+/// current database rather than whatever the last WAL compaction
+/// happened to capture.
+fn describe(session: &Session, storage: Option<&str>) {
+    let durable = storage.zip(session.shared_database());
+    if let Some((_, shared)) = durable {
+        if let Err(e) = shared.checkpoint() {
             println!("{e}");
         }
     }
@@ -78,10 +80,10 @@ fn describe(session: &mut Session) {
             println!("  {} ON {} ({})", def.name, def.table, cols.join(", "));
         }
     }
-    if let Some(storage) = session.storage() {
-        println!("Storage ({}):", storage.dir().display());
+    if let Some((dir, shared)) = durable {
+        println!("Storage ({dir}):");
         for (table, _) in schema.iter() {
-            let stats = storage.table_stats(table.as_ref()).unwrap_or_default();
+            let stats = shared.table_stats(table.as_ref()).unwrap_or_default();
             println!("  {table}: {} pages, {} rows on disk", stats.pages, stats.rows);
         }
     }
@@ -112,13 +114,13 @@ fn terminated(buffer: &str) -> bool {
     complete
 }
 
-/// Handles a `\…` meta command; returns `false` when the REPL should
-/// quit.
-fn meta_command(session: &mut Session, line: &str) -> bool {
+/// Handles a `\…` meta command (`storage` is the `--storage` directory,
+/// if any); returns `false` when the REPL should quit.
+fn meta_command(session: &mut Session, storage: Option<&str>, line: &str) -> bool {
     let mut words = line.split_whitespace();
     match (words.next(), words.next()) {
         (Some("\\q"), _) => return false,
-        (Some("\\d"), _) => describe(session),
+        (Some("\\d"), _) => describe(session, storage),
         (Some("\\backend"), Some(arg)) => match arg.parse::<Backend>() {
             Ok(backend) => {
                 session.set_backend(backend);
@@ -250,9 +252,10 @@ fn client_loop(mut client: Client, interactive: bool) {
 }
 
 fn main() {
-    // `--storage DIR` attaches a durable store; `--connect ADDR` turns
-    // the REPL into a network client of a running sqlsem-server.
+    // `--storage DIR` opens a durable shared database; `--connect ADDR`
+    // turns the REPL into a network client of a running sqlsem-server.
     let mut args = std::env::args().skip(1);
+    let mut storage = None;
     let mut session = match args.next().as_deref() {
         None => Session::new(),
         Some("--connect") => {
@@ -276,10 +279,11 @@ fn main() {
                 eprintln!("usage: repl [--storage DIR | --connect ADDR]");
                 std::process::exit(2);
             });
-            match Session::builder().with_storage(&dir).try_build() {
-                Ok(session) => {
+            match SharedDatabase::open(&dir) {
+                Ok(shared) => {
                     println!("storage: {dir}");
-                    session
+                    storage = Some(dir);
+                    shared.connect()
                 }
                 Err(e) => {
                     eprintln!("{e}");
@@ -316,7 +320,7 @@ fn main() {
         let line = line.expect("stdin is readable");
         let trimmed = line.trim();
         if buffer.is_empty() && trimmed.starts_with('\\') {
-            if !meta_command(&mut session, trimmed) {
+            if !meta_command(&mut session, storage.as_deref(), trimmed) {
                 return;
             }
             prompt(&buffer);

@@ -84,7 +84,7 @@
 //!   the PostgreSQL/Oracle validation oracles of §4;
 //! * [`storage`] — the durable storage engine: paged checkpoint files,
 //!   a checksummed write-ahead log with crash recovery, and the store
-//!   behind [`SessionBuilder::with_storage`] and the gauntlet's
+//!   behind [`SharedDatabase::open`] and the gauntlet's
 //!   `--via-storage` fixture;
 //! * [`algebra`] — bag relational algebra, SQL-RA, and the provably
 //!   correct SQL → RA translation of §5 (Theorem 1);

@@ -203,3 +203,15 @@ fn clone_of_a_shared_connection_is_a_new_connection_over_the_same_database() {
     assert_eq!(scalar(&forked.execute("SELECT COUNT(*) AS n FROM R").unwrap()), 4);
     assert_eq!(scalar(&original.execute("SELECT COUNT(*) AS n FROM R").unwrap()), 3);
 }
+
+#[test]
+fn a_shared_connection_refuses_a_seed_database() {
+    // A shared database is seeded when it is created, never per
+    // connection — the one configuration conflict the builder reports.
+    let err = sqlsem::Session::builder()
+        .with_shared(&SharedDatabase::in_memory())
+        .with_schema(sqlsem::Schema::default())
+        .try_build()
+        .unwrap_err();
+    assert!(matches!(err, sqlsem::SqlsemError::Config { .. }), "{err}");
+}

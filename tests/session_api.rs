@@ -269,6 +269,11 @@ fn owned_clone_keeps_fork_semantics_and_fork_spells_them_out() {
     let out = original.execute("SELECT R.A FROM R").unwrap();
     assert!(out.rows().unwrap().coincides(&table! { ["A"]; [1] }));
     assert!(original.execute("SELECT * FROM ONLY_IN_COPY").is_err());
+    // Copy-on-write runs both ways: the original's later writes stay
+    // out of the copies.
+    original.execute("INSERT INTO R VALUES (3)").unwrap();
+    let out = forked.execute("SELECT R.A FROM R").unwrap();
+    assert!(out.rows().unwrap().coincides(&table! { ["A"]; [1], [2] }));
 }
 
 #[test]
